@@ -48,8 +48,7 @@
 //	-load-faulted    include the faulted pass (default true)
 //	-sustained       append the steady-state throughput section: a
 //	                 coalesce-off and a coalesce-on pass with refilled
-//	                 randomness pools and the shared constant cache, a
-//	                 byte-identity probe, and the ≥1.3× floor on ≥2
+//	                 randomness pools, a byte-identity probe, and the ≥1.3× floor on ≥2
 //	                 cores (loudly skipped on one core)
 //	-sustained-rate R     offered arrivals/second per sustained pass (120)
 //	-sustained-measure D  scored window per sustained pass (0 = -load-measure)
@@ -118,7 +117,7 @@ func main() {
 	loadWarmup := flag.Duration("load-warmup", time.Second, "unscored warm-up window for -load-gate")
 	loadMeasure := flag.Duration("load-measure", 6*time.Second, "scored window per -load-gate pass")
 	loadFaulted := flag.Bool("load-faulted", true, "include the seeded-fault pass in -load-gate")
-	sustained := flag.Bool("sustained", false, "append the steady-state section to -load-gate: coalesce-off vs coalesce-on passes with refilled pools and the shared constant cache")
+	sustained := flag.Bool("sustained", false, "append the steady-state section to -load-gate: coalesce-off vs coalesce-on passes with refilled pools")
 	sustainedRate := flag.Float64("sustained-rate", 120, "offered arrivals/second for the -sustained passes")
 	sustainedMeasure := flag.Duration("sustained-measure", 0, "scored window per -sustained pass (0 = -load-measure)")
 	chaosGate := flag.Bool("chaos-gate", false, "run the multi-tenant lifecycle soak (reload storm + admission sheds + faults) and write the report")

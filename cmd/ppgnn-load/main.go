@@ -35,9 +35,6 @@
 //	-refill N     keep each group's randomness pool topped up to N by a
 //	              background refiller for the whole run (default 0 = the
 //	              one-shot -precompute fill only)
-//	-cache N      share one N-entry constant-ciphertext cache across the
-//	              fleet; hits are rerandomized so ciphertexts never
-//	              repeat on the wire (default 0 = off)
 //	-coalesce     with -self-host, merge concurrent sessions' batch work
 //	              on the in-process server (DESIGN.md §15)
 //	-oracle       conformance-check every answer (default true; forces
@@ -86,7 +83,6 @@ func main() {
 	maxInFlight := flag.Int("max-in-flight", 512, "client-side concurrency cap")
 	precompute := flag.Int("precompute", 64, "randomness factors pooled per group before the run")
 	refill := flag.Int("refill", 0, "background-refilled pool floor per group (0 = one-shot -precompute only)")
-	cacheSize := flag.Int("cache", 0, "shared constant-ciphertext cache entries across the fleet (0 = off)")
 	coalesce := flag.Bool("coalesce", false, "with -self-host, coalesce concurrent sessions' batches on the in-process server")
 	oracleOn := flag.Bool("oracle", true, "conformance-check every answer against the plaintext engine")
 	out := flag.String("out", "", "write the JSON report here")
@@ -138,7 +134,6 @@ func main() {
 		QueryTimeout: *timeout,
 		Precompute:   *precompute,
 		Refill:       *refill,
-		CacheSize:    *cacheSize,
 	}
 	if *oracleOn {
 		// The oracle is a local plaintext engine over the same dataset;

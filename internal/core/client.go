@@ -59,16 +59,6 @@ type Group struct {
 	// mode encrypts under the shared threshold modulus).
 	encOverride *paillier.PublicKey
 
-	// EncCache, when set, routes the indicator encryptions through a
-	// shared encrypted-constant cache (DESIGN.md §15): the indicator
-	// vectors re-encrypt the same tiny constant set (zeros and a one) on
-	// every query, so a cache hit replaces the (1+N)^m exponentiation
-	// with one modular multiply against a fresh randomness factor. Hits
-	// are rerandomized, never replayed — see paillier.EncCache. Load
-	// harnesses share one cache across many groups; the cache keys by
-	// public key, so groups never see each other's entries.
-	EncCache *paillier.EncCache
-
 	// CacheSets reuses each user's location set (and the hidden positions)
 	// across queries instead of drawing fresh dummies every time. Fresh
 	// independent dummies are vulnerable to the multi-query intersection
@@ -351,15 +341,14 @@ func (g *Group) encryptIndicator(n, one, degree int, meter *cost.Meter) ([]*big.
 	if g.encOverride != nil {
 		pre = nil
 	}
-	return encryptIndicatorVec(g.encPublic(), pre, g.EncCache, n, one, degree, meter)
+	return encryptIndicatorVec(g.encPublic(), pre, n, one, degree, meter)
 }
 
 // encryptIndicatorVec is the shared indicator-encryption core used by
 // Group (shared-memory protocol) and Coordinator (distributed sessions):
 // element-wise encryption of the length-n indicator with a 1 at index
-// one, under ε_degree of pk, drawing from pre when non-nil and going
-// through the shared constant cache when ec is non-nil.
-func encryptIndicatorVec(pk *paillier.PublicKey, pre *paillier.Precomputer, ec *paillier.EncCache, n, one, degree int, meter *cost.Meter) ([]*big.Int, error) {
+// one, under ε_degree of pk, drawing from pre when non-nil.
+func encryptIndicatorVec(pk *paillier.PublicKey, pre *paillier.Precomputer, n, one, degree int, meter *cost.Meter) ([]*big.Int, error) {
 	if one < 0 || one >= n {
 		return nil, fmt.Errorf("core: indicator index %d outside [0,%d)", one, n)
 	}
@@ -378,12 +367,9 @@ func encryptIndicatorVec(pk *paillier.PublicKey, pre *paillier.Precomputer, ec *
 		pooled int
 		err    error
 	)
-	switch {
-	case ec != nil:
-		cts, pooled, err = ec.EncryptBatch(context.Background(), nil, nil, pk, pre, ms, degree)
-	case pre != nil:
+	if pre != nil {
 		cts, pooled, err = pre.EncryptBatch(context.Background(), nil, nil, ms)
-	default:
+	} else {
 		cts, err = pk.EncryptBatch(context.Background(), nil, nil, ms, degree)
 	}
 	if err != nil {

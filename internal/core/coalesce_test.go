@@ -189,11 +189,10 @@ func TestLSPRerandPools(t *testing.T) {
 	}
 }
 
-// TestGroupRefillAndCache runs sustained queries with a background
-// refiller and the shared constant cache on the client side: results
-// stay exact, the refiller feeds pooled factors to later queries, and
-// the cache serves hits after the first query.
-func TestGroupRefillAndCache(t *testing.T) {
+// TestGroupRefill runs sustained queries with a background refiller on
+// the client side: results stay exact and the refiller feeds pooled
+// factors to later queries.
+func TestGroupRefill(t *testing.T) {
 	lsp := testLSP(1500)
 	rng := rand.New(rand.NewSource(12))
 	p := testParams(3, VariantPPGNN)
@@ -203,7 +202,6 @@ func TestGroupRefillAndCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g.EncCache = paillier.NewEncCache(256)
 	stop, err := g.StartRefill(paillier.RefillerOptions{
 		Min: 32, Interval: time.Millisecond, MaxChunk: 32,
 	})
@@ -230,9 +228,6 @@ func TestGroupRefillAndCache(t *testing.T) {
 				t.Fatalf("round %d rank %d: %v != %v", round, i, res.Points[i], want[i].Item.P)
 			}
 		}
-	}
-	if g.EncCache.Len() == 0 {
-		t.Fatal("indicator encryptions never populated the constant cache")
 	}
 	if g.pre1.Taken() == 0 {
 		t.Fatal("refilled pool was never drawn from")

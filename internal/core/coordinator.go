@@ -267,22 +267,22 @@ func (c *Coordinator) BuildQuery(pl *RoundPlan, meter *cost.Meter) (*QueryMsg, e
 	var err error
 	switch p.Variant {
 	case VariantNaive:
-		msg.V, err = encryptIndicatorVec(c.encPublic(), c.pre1, nil, p.Delta, pl.naive, 1, meter)
+		msg.V, err = encryptIndicatorVec(c.encPublic(), c.pre1, p.Delta, pl.naive, 1, meter)
 		return msg, err
 	case VariantPPGNN:
 		msg.NBar, msg.DBar = pl.part.NBar, pl.part.DBar
 		qi := pl.part.QueryIndex(pl.seg, pl.xs)
-		msg.V, err = encryptIndicatorVec(c.encPublic(), c.pre1, nil, pl.part.DeltaPrime, qi, 1, meter)
+		msg.V, err = encryptIndicatorVec(c.encPublic(), c.pre1, pl.part.DeltaPrime, qi, 1, meter)
 		return msg, err
 	case VariantOPT:
 		msg.NBar, msg.DBar = pl.part.NBar, pl.part.DBar
 		qi := pl.part.QueryIndex(pl.seg, pl.xs)
 		omega := OptimalOmega(pl.part.DeltaPrime)
 		cols := (pl.part.DeltaPrime + omega - 1) / omega
-		if msg.V1, err = encryptIndicatorVec(c.encPublic(), c.pre1, nil, cols, qi%cols, 1, meter); err != nil {
+		if msg.V1, err = encryptIndicatorVec(c.encPublic(), c.pre1, cols, qi%cols, 1, meter); err != nil {
 			return nil, err
 		}
-		msg.V2, err = encryptIndicatorVec(c.encPublic(), c.pre2, nil, omega, qi/cols, 2, meter)
+		msg.V2, err = encryptIndicatorVec(c.encPublic(), c.pre2, omega, qi/cols, 2, meter)
 		return msg, err
 	}
 	return nil, fmt.Errorf("core: unknown variant %d", p.Variant)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"math"
 	"math/big"
 	"math/rand"
@@ -214,42 +215,79 @@ func TestPrivacyIV_UnsanitizedIsVulnerable(t *testing.T) {
 	}
 }
 
-// TestIndicatorCacheNeverRepeatsCiphertexts sweeps the closed contract
-// of the shared constant cache at the wire level (ISSUE 10): with
-// EncCache enabled, repeated queries re-encrypt the same tiny constant
-// set through the cache, yet no ciphertext the LSP ever receives —
+// TestIndicatorCiphertextsNeverRepeat sweeps a closed privacy contract
+// at the wire level: repeated queries encrypt the same tiny constant set
+// (zeros and a one), yet no indicator ciphertext the LSP ever receives —
 // within a vector, across vectors, across queries — repeats byte for
 // byte. A repeat would hand the LSP plaintext-equality structure that
-// semantic security is supposed to hide; rerandomize-on-hit is what
-// prevents it.
-func TestIndicatorCacheNeverRepeatsCiphertexts(t *testing.T) {
+// semantic security is supposed to hide. It is pinned on both encryption
+// paths: the group's own key, which computes the randomness factor
+// through its factorization, and the same key rebuilt from N, which
+// takes the public path.
+func TestIndicatorCiphertextsNeverRepeat(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	locs := randomLocations(rng, 4)
 	for _, variant := range []Variant{VariantPPGNN, VariantOPT} {
-		p := testParams(4, variant)
-		g, err := NewGroup(p, locs, rng)
+		for _, path := range []string{"crt", "public"} {
+			indicatorsNeverRepeat(t, variant, path, locs, rng)
+		}
+	}
+}
+
+func indicatorsNeverRepeat(t *testing.T, variant Variant, path string, locs []geo.Point, rng *rand.Rand) {
+	t.Helper()
+	p := testParams(4, variant)
+	g, err := NewGroup(p, locs, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if path == "public" {
+		g.encOverride = paillier.NewPublicKey(g.Key.N)
+	}
+	seen := map[string]bool{}
+	total := 0
+	for round := 0; round < 3; round++ {
+		q, _, err := g.BuildQuery(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		g.EncCache = paillier.NewEncCache(256)
-		seen := map[string]bool{}
-		total := 0
-		for round := 0; round < 3; round++ {
-			q, _, err := g.BuildQuery(nil)
-			if err != nil {
-				t.Fatal(err)
+		for _, c := range append(append(append([]*big.Int{}, q.V...), q.V1...), q.V2...) {
+			if key := string(c.Bytes()); seen[key] {
+				t.Fatalf("%v %s path round %d: indicator ciphertext repeated on the wire", variant, path, round)
+			} else {
+				seen[key] = true
 			}
-			for _, c := range append(append(append([]*big.Int{}, q.V...), q.V1...), q.V2...) {
-				if key := string(c.Bytes()); seen[key] {
-					t.Fatalf("%v round %d: indicator ciphertext repeated on the wire", variant, round)
-				} else {
-					seen[key] = true
-				}
-				total++
-			}
+			total++
 		}
-		if total == 0 || g.EncCache.Len() == 0 {
-			t.Fatalf("%v: sweep vacuous (total=%d, cache len=%d)", variant, total, g.EncCache.Len())
+	}
+	if total == 0 {
+		t.Fatalf("%v %s path: sweep vacuous", variant, path)
+	}
+}
+
+// TestQueryWireCarriesNoFactors: the query frame carries the group's
+// public key as N alone. The key object the group encrypts under holds
+// its factorization (for CRT encryption), and none of it reaches the
+// wire.
+func TestQueryWireCarriesNoFactors(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	for _, variant := range []Variant{VariantPPGNN, VariantOPT} {
+		g, err := NewGroup(testParams(4, variant), randomLocations(rng, 4), rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q, _, err := g.BuildQuery(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		frame := q.Marshal()
+		if !bytes.Contains(frame, g.Key.N.Bytes()) {
+			t.Fatalf("%v: query frame does not carry N; the check is vacuous", variant)
+		}
+		for _, f := range []*big.Int{g.Key.P, g.Key.Q} {
+			if bytes.Contains(frame, f.Bytes()) {
+				t.Fatalf("%v: query frame carries a prime factor of N", variant)
+			}
 		}
 	}
 }

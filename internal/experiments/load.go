@@ -39,7 +39,7 @@ type LoadReport struct {
 	IncidentDump *obs.TraceDump `json:"incident_dump,omitempty"`
 	// Sustained is the steady-state throughput section (DESIGN.md §15):
 	// coalescing-off vs coalescing-on passes with the client-side
-	// refillers and constant cache engaged, plus a byte-identity probe.
+	// refillers engaged, plus a byte-identity probe.
 	Sustained *SustainedSection `json:"sustained,omitempty"`
 }
 
@@ -341,7 +341,6 @@ func (c Config) sustainedSection(lsp *core.LSP, oracle load.Oracle, reg *obs.Reg
 				Seed:      c.Seed + 1000 + int64(i)*101,
 				Oracle:    oracle,
 				Refill:    64,
-				CacheSize: 1024,
 			})
 			if err != nil {
 				return nil, err

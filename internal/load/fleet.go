@@ -93,11 +93,6 @@ type FleetConfig struct {
 	// drawing pooled randomness instead of falling off the one-shot
 	// Precompute cliff mid-run. Fleet.Close stops the refillers.
 	Refill int
-	// CacheSize, when > 0, shares one bounded indicator-ciphertext
-	// cache of this many entries across the whole fleet. The cache keys
-	// by public key, so groups never see each other's entries; sharing
-	// one LRU is exactly the multi-client deployment shape.
-	CacheSize int
 }
 
 func (c FleetConfig) withDefaults() FleetConfig {
@@ -162,10 +157,6 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 		return nil, fmt.Errorf("load: fleet needs a server address")
 	}
 	f := &Fleet{cfg: cfg, groups: make([]*fleetGroup, cfg.Groups)}
-	var ec *paillier.EncCache
-	if cfg.CacheSize > 0 {
-		ec = paillier.NewEncCache(cfg.CacheSize)
-	}
 	for i := range f.groups {
 		rng := rand.New(rand.NewSource(cfg.Seed + int64(i)*1009))
 		p := core.DefaultParams(cfg.GroupSize)
@@ -189,7 +180,6 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 		// the same d-anonymous view (the multi-query intersection defense)
 		// and skip redundant dummy generation on the hot path.
 		g.CacheSets = true
-		g.EncCache = ec
 		if cfg.Precompute > 0 {
 			if _, err := g.Precompute(cfg.Precompute); err != nil {
 				return nil, fmt.Errorf("load: precomputing group %d: %w", i, err)

@@ -103,13 +103,10 @@ func catalog() []catalogEntry {
 		{kindCounter, "paillier_precompute_filled_total", nil, nil},
 		{kindCounter, "paillier_precompute_encrypt_total", nil, allOf("source")},
 
-		// background Precomputer refiller + shared encrypted-constant
-		// cache (DESIGN.md §15). The cache records hit/miss only; keys
-		// and plaintexts never reach a metric.
+		// background Precomputer refiller (DESIGN.md §15).
 		{kindCounter, "paillier_pool_refill_fills_total", nil, nil},
 		{kindCounter, "paillier_pool_refill_factors_total", nil, nil},
 		{kindGauge, "paillier_pool_refill_target", nil, nil},
-		{kindCounter, "paillier_enc_cache_total", nil, each("result", "hit", "miss")},
 
 		// protocol phase spans.
 		{kindHistogram, phaseSecondsName, TimeBuckets, cross(phases, outcomes)},

@@ -93,14 +93,17 @@ func (pk *PublicKey) EncryptBatch(ctx context.Context, pl *parallel.Pool, random
 }
 
 // warmEnc materializes the caches an ε_s encryption reads (the kernel
-// contexts for N^i, the inverse factorials, and the short-rand
-// fixed-base table when that mode is on), so fanned-out workers hit
-// lock-free read paths instead of serializing on first-use population.
+// contexts for N^i, the inverse factorials, the key holder's CRT context,
+// and the short-rand fixed-base table when that mode is on), so
+// fanned-out workers hit lock-free read paths instead of serializing on
+// first-use population.
 func (pk *PublicKey) warmEnc(s int) {
 	pk.NS(s + 1)
 	pk.invFactorial(s)
 	if sr := pk.shortRand.Load(); sr != nil {
 		sr.table(pk, s)
+	} else if pk.owner != nil {
+		pk.owner.crt(s)
 	}
 }
 

@@ -50,11 +50,6 @@ var (
 	mRefillFills   = obs.Default().Counter("paillier_pool_refill_fills_total")
 	mRefillFactors = obs.Default().Counter("paillier_pool_refill_factors_total")
 	gRefillTarget  = obs.Default().Gauge("paillier_pool_refill_target")
-
-	// Shared encrypted-constant cache (DESIGN.md §15): hit/miss only.
-	// Keys and plaintexts never reach a metric.
-	mCacheHit  = obs.Default().Counter("paillier_enc_cache_total", obs.L("result", "hit"))
-	mCacheMiss = obs.Default().Counter("paillier_enc_cache_total", obs.L("result", "miss"))
 )
 
 // degreeLabel buckets an ε_s degree into the closed "degree" enum.

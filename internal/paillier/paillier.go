@@ -74,6 +74,11 @@ type PublicKey struct {
 	// shortRand, when non-nil, holds the Options.ShortRandBits state:
 	// the fixed base h and its per-degree power tables.
 	shortRand atomic.Pointer[shortRandState]
+	// owner is the private key this public key is the public half of,
+	// set only by GenerateKey. Encryption under it computes the r^{N^s}
+	// factor through the factorization (crt.go). A key rebuilt from N
+	// has none, and no encoding of a PublicKey carries it.
+	owner *PrivateKey
 }
 
 // PrivateKey holds the factorization-derived trapdoor.
@@ -83,8 +88,8 @@ type PrivateKey struct {
 	lambda *big.Int // lcm(p-1, q-1)
 
 	mu      sync.Mutex
-	invLam  []*big.Int // invLam[s] = lambda^{-1} mod N^s
-	crtCtxs []*crtCtx  // per-degree CRT acceleration contexts
+	invLam  []*big.Int                       // invLam[s] = lambda^{-1} mod N^s
+	crtCtxs [MaxS + 1]atomic.Pointer[crtCtx] // per-degree CRT contexts
 }
 
 // Ciphertext is an element of Z*_{N^{S+1}} encrypting a plaintext in Z_{N^S}.
@@ -136,6 +141,7 @@ func GenerateKey(random io.Reader, bits int) (*PrivateKey, error) {
 			Q:         q,
 			lambda:    lambda,
 		}
+		key.owner = key
 		return key, nil
 	}
 }
@@ -369,10 +375,14 @@ func (pk *PublicKey) drawEncRand(random io.Reader, sr *shortRandState) (*big.Int
 
 // encFactor turns a drawn randomness value into the ciphertext factor:
 // r^{N^s} mod N^{s+1} full-width, or the table-backed (h^{N^s})^x in
-// short-rand mode. Safe for concurrent use once warmEnc has built the
-// needed tables.
+// short-rand mode. The key holder computes the full-width factor through
+// the factorization; it is the same integer. Safe for concurrent use
+// once warmEnc has built the needed tables.
 func (pk *PublicKey) encFactor(rv *big.Int, sr *shortRandState, s int) *big.Int {
 	if sr == nil {
+		if pk.owner != nil {
+			return pk.owner.encFactorCRT(rv, s)
+		}
 		return pk.Ctx(s+1).Exp(rv, pk.NS(s))
 	}
 	f, err := sr.table(pk, s).Exp(rv)

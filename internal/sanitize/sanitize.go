@@ -23,6 +23,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+	"sync"
 
 	"ppgnn/internal/geo"
 	"ppgnn/internal/gnn"
@@ -86,28 +88,20 @@ func (c Config) Sanitize(rng *rand.Rand, answer []gnn.Result, query []geo.Point)
 	test := stats.ZTest{Theta0: c.Theta0, Gamma: c.Gamma}
 	threshold := test.Threshold(nh)
 
-	// Per-target incremental attack state.
-	states := make([]*attackState, len(query))
+	// The prefix P' = answer[:safe] is safe iff every target keeps more
+	// than threshold samples under each of its k'−1 inequalities, so safe
+	// is the least over targets of the first inequality that fails. Each
+	// target draws its N_H samples in target order, and its filtering
+	// stops at that first failure or at the bound earlier targets set.
+	f := newFilter(c, answer)
+	sc := scratchPool.Get().(*scratch)
+	defer sc.release()
+	safe := len(answer)
 	for u := range query {
-		states[u] = newAttackState(c, rng, answer, query, u, nh)
-	}
-
-	// Extend the prefix while every target user's feasible region stays
-	// large enough. Prefix length t covers inequalities 1..t−1; going from
-	// t to t+1 adds the single inequality F(p_t) ≤ F(p_{t+1}).
-	safe := 1
-	for t := 1; t < len(answer); t++ {
-		ok := true
-		for _, st := range states {
-			if float64(st.addInequality(t)) <= threshold {
-				ok = false
-				break
-			}
+		t, count := f.attack(rng, sc, f.partials(query, u), nh, safe, threshold)
+		if t > 0 && float64(count) <= threshold {
+			safe = t
 		}
-		if !ok {
-			break
-		}
-		safe = t + 1
 	}
 	return answer[:safe]
 }
@@ -124,39 +118,11 @@ func (c Config) AttackTheta(rng *rand.Rand, answer []gnn.Result, query []geo.Poi
 	if samples <= 0 {
 		samples = c.SampleSize()
 	}
-	st := newAttackState(c, rng, answer, query, target, samples)
-	surv := samples
-	for t := 1; t < len(answer); t++ {
-		surv = st.addInequality(t)
-	}
-	return float64(surv) / float64(samples)
-}
-
-// attackState tracks, for one target user, the sample points that still
-// satisfy every inequality added so far.
-type attackState struct {
-	cfg    Config
-	answer []gnn.Result
-	// partial[i] is the aggregate state of answer[i] over all non-target
-	// users; combining it with dist(p_i, X) yields F(p_i, C[target→X]).
-	partial   []float64 // aggregate over the non-target users; see combine
-	survivors []geo.Point
-}
-
-func newAttackState(c Config, rng *rand.Rand, answer []gnn.Result, query []geo.Point, target, nh int) *attackState {
-	st := &attackState{cfg: c, answer: answer}
-	st.partial = make([]float64, len(answer))
-	for i, res := range answer {
-		st.partial[i] = partialAggregate(c.Agg, res.Item.P, query, target)
-	}
-	st.survivors = make([]geo.Point, nh)
-	for i := range st.survivors {
-		st.survivors[i] = geo.Point{
-			X: c.Space.Min.X + rng.Float64()*c.Space.Width(),
-			Y: c.Space.Min.Y + rng.Float64()*c.Space.Height(),
-		}
-	}
-	return st
+	f := newFilter(c, answer)
+	sc := scratchPool.Get().(*scratch)
+	defer sc.release()
+	_, count := f.attack(rng, sc, f.partials(query, target), samples, len(answer), -1)
+	return float64(count) / float64(samples)
 }
 
 // partialAggregate computes the aggregate of dist(p, l_j) over j != target.
@@ -216,25 +182,229 @@ func combine(agg gnn.Aggregate, partial, d float64) float64 {
 	}
 }
 
-// addInequality filters the surviving samples with inequality
-// F(p_t) ≤ F(p_{t+1}) (0-based: answer[t-1] vs answer[t]) and returns the
-// surviving count.
-func (st *attackState) addInequality(t int) int {
-	pa := st.answer[t-1].Item.P
-	pb := st.answer[t].Item.P
-	parA := st.partial[t-1]
-	parB := st.partial[t]
-	agg := st.cfg.Agg
-	out := st.survivors[:0]
-	for _, x := range st.survivors {
-		costA := combine(agg, parA, pa.Dist(x))
-		costB := combine(agg, parB, pb.Dist(x))
-		if costA <= costB {
-			out = append(out, x)
-		}
+// The filtering kernel. Sanitize and AttackTheta both run the attack of
+// Section 5.1 through it: for one target user, draw samples X uniformly
+// over the space and keep those that satisfy every inequality
+// F(p_{t−1}, C[target→X]) ≤ F(p_t, C[target→X]) of the ranked answer.
+//
+//   - Draw order. A target's samples are drawn in chunks of chunkSize
+//     and filtered by the first inequality at once; only survivors stay
+//     in the slab. Each sample consumes rng.Float64() for X, then for Y,
+//     and every target draws all its samples in target order, so the rng
+//     is consumed exactly as by drawing all samples up front.
+//   - Distances. The target's distance to a POI is sqrt(dx²+dy²), and
+//     each survivor keeps its distance to p_t for the next inequality,
+//     so one square root per survivor per inequality remains. The
+//     inequality is decided from these costs only when they differ by
+//     more than a relative margin; inside it, the sample is decided by
+//     the original expression with geo.Point.Dist (math.Hypot), so the
+//     decision never differs from it. See margin for the bound.
+//   - Compaction is branch-free: every sample is written at index j and
+//     j advances by keep ∈ {0,1}. Whether a random sample survives is a
+//     coin flip, which a branch would mispredict about half the time.
+
+// chunkSize is how many samples are drawn into the slab's tail before
+// the first inequality filters them in place.
+const chunkSize = 256
+
+// margin and marginFloor bound where a cost comparison made with
+// sqrt(dx²+dy²) may disagree with one made with math.Hypot. Let u = 2^-53
+// be the unit roundoff and D the exact distance of the (identically
+// rounded) dx, dy.
+//
+//   - sqrt(dx²+dy²) rounds four times, and the square root halves the
+//     error of its argument: it is within 2.5u·D of D.
+//   - math.Hypot evaluates p·sqrt(1+(q/p)²) with five roundings; budget
+//     4 ulp, 8u·D, for it (it is documented to within about one).
+//   - So the two distances f and h differ by at most 11u·D ≤ 12u·f.
+//   - Sum adds a non-negative partial with one rounding: the costs differ
+//     by at most 12u·f + u·(c_f + c_h) ≤ 15u·c_f, as f ≤ c_f. Max and Min
+//     return one operand exactly: they differ by at most |f − h|, which
+//     is at most 12u·c_f whenever the two results take different
+//     operands, and zero otherwise.
+//   - Below 2^-511, dx² and dy² lose relative precision as subnormals,
+//     but each rounding still errs by at most 2^-1075, so f moves by at
+//     most sqrt(3·2^-1075) < 2^-536 in absolute terms.
+//
+// Both sides of an inequality together therefore err by less than
+// 15u·(c_a+c_b) + 2^-535 ≈ 1.7e-15·(c_a+c_b). When |c_a − c_b| exceeds
+// margin·(c_a+c_b) + marginFloor, over 500 times that bound, the Hypot
+// comparison has the same sign and the fast decision is exact. NaN or
+// infinite costs fail the test and take the exact path too; coordinates
+// large enough for dx² to overflow never reach the fast path (see
+// fastLimit).
+const (
+	margin      = 0x1p-40
+	marginFloor = 0x1p-500
+)
+
+// fastLimit bounds the coordinates the fast path accepts: within it,
+// |dx|, |dy| ≤ 2^510 and dx²+dy² cannot overflow.
+const fastLimit = 0x1p509
+
+// sample is one Monte-Carlo point and its distance, sqrt(dx²+dy²), to
+// the POI on the left of the next inequality.
+type sample struct {
+	x, y, d float64
+}
+
+// scratch is a pooled survivor slab. It holds one target's survivors of
+// the first inequality, plus at most one chunk being drawn.
+type scratch struct {
+	slab []sample
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// maxPooledSlab caps the slab kept for reuse (24 B a sample, so 1.5 MB):
+// N_H is 12,118 at the paper's θ0 = 0.05 and 63,225 at θ0 = 0.01. A
+// larger slab serves its call and is dropped.
+const maxPooledSlab = 1 << 16
+
+func (sc *scratch) release() {
+	if cap(sc.slab) > maxPooledSlab {
+		sc.slab = nil
 	}
-	st.survivors = out
-	return len(out)
+	sc.slab = sc.slab[:0]
+	scratchPool.Put(sc)
+}
+
+// filter is the kernel's view of one ranked answer.
+type filter struct {
+	agg   gnn.Aggregate
+	pts   []geo.Point // answer POIs in rank order
+	space geo.Rect
+	w, h  float64 // space extent, as the draws have always computed it
+	fast  bool    // every coordinate within ±fastLimit
+}
+
+func newFilter(c Config, answer []gnn.Result) *filter {
+	f := &filter{agg: c.Agg, space: c.Space, w: c.Space.Width(), h: c.Space.Height()}
+	f.pts = make([]geo.Point, len(answer))
+	for i, res := range answer {
+		f.pts[i] = res.Item.P
+	}
+	f.fast = small(c.Space.Min) && small(c.Space.Max)
+	for _, p := range f.pts {
+		f.fast = f.fast && small(p)
+	}
+	return f
+}
+
+// small reports whether both coordinates lie within ±fastLimit (false
+// for NaN).
+func small(p geo.Point) bool {
+	return math.Abs(p.X) <= fastLimit && math.Abs(p.Y) <= fastLimit
+}
+
+// partials returns the aggregate of each answer POI over the non-target
+// users.
+func (f *filter) partials(query []geo.Point, target int) []float64 {
+	out := make([]float64, len(f.pts))
+	for i, p := range f.pts {
+		out[i] = partialAggregate(f.agg, p, query, target)
+	}
+	return out
+}
+
+// attack runs the attack for one target: it draws n samples from rng
+// into sc's slab and applies inequalities 1, 2, … of the prefix
+// answer[:upto] in turn, stopping after the first one that leaves stop
+// or fewer survivors. It returns the last inequality applied (0 when
+// upto ≤ 1: the samples are drawn and none is applied) and the number
+// of samples that satisfy inequalities 1..that one.
+func (f *filter) attack(rng *rand.Rand, sc *scratch, partial []float64, n, upto int, stop float64) (applied, count int) {
+	first := upto > 1
+	sc.slab = f.draw(rng, sc.slab[:0], partial, n, first)
+	count = len(sc.slab)
+	if !first {
+		return 0, count
+	}
+	for applied = 1; float64(count) > stop && applied+1 < upto; applied++ {
+		count = f.filter(sc.slab[:count], partial, applied+1)
+	}
+	return applied, count
+}
+
+// draw consumes n samples from rng and appends them to slab. With first
+// set it keeps only those satisfying the first inequality, each carrying
+// its distance to pts[1]. Samples are drawn chunkSize at a time into the
+// slab's tail and filtered in place, so the slab grows by survivors plus
+// at most one chunk.
+func (f *filter) draw(rng *rand.Rand, slab []sample, partial []float64, n int, first bool) []sample {
+	var p0 geo.Point
+	if first {
+		p0 = f.pts[0]
+	}
+	for n > 0 {
+		m := min(n, chunkSize)
+		n -= m
+		slab = slices.Grow(slab, m)
+		chunk := slab[len(slab) : len(slab)+m]
+		for i := range chunk {
+			x := f.space.Min.X + rng.Float64()*f.w
+			y := f.space.Min.Y + rng.Float64()*f.h
+			chunk[i] = sample{x: x, y: y}
+		}
+		if first {
+			// A loop of its own, free of calls, keeps the square roots
+			// pipelined.
+			for i := range chunk {
+				chunk[i].d = fastDist(p0, chunk[i].x, chunk[i].y)
+			}
+			m = f.filter(chunk, partial, 1)
+		}
+		slab = slab[:len(slab)+m]
+	}
+	return slab
+}
+
+// filter applies inequality t, F(p_{t−1}) ≤ F(p_t) (0-based answer
+// indices), to samples that carry their distance to p_{t−1}, compacting
+// the survivors in place with their distance to p_t, and returns how many
+// remain. Outside the margin the fast costs decide; inside it, and off
+// the fast path, the original Hypot expression does.
+func (f *filter) filter(s []sample, partial []float64, t int) int {
+	pb := f.pts[t]
+	parA, parB := partial[t-1], partial[t]
+	agg, fast := f.agg, f.fast
+	j := 0
+	for i := range s {
+		x := s[i]
+		db := fastDist(pb, x.x, x.y)
+		ca, cb := parA+x.d, parB+db
+		if agg != gnn.Sum {
+			ca, cb = combine(agg, parA, x.d), combine(agg, parB, db)
+		}
+		diff := ca - cb
+		keep := b2i(diff < 0)
+		if !fast || !(math.Abs(diff) > margin*(ca+cb)+marginFloor) {
+			keep = f.exact(parA, parB, t, geo.Point{X: x.x, Y: x.y})
+		}
+		s[j] = sample{x: x.x, y: x.y, d: db}
+		j += keep
+	}
+	return j
+}
+
+// fastDist is sqrt(dx²+dy²) with dx, dy rounded exactly as
+// geo.Point.Dist rounds them.
+func fastDist(p geo.Point, x, y float64) float64 {
+	dx, dy := p.X-x, p.Y-y
+	return math.Sqrt(dx*dx + dy*dy)
+}
+
+// exact decides inequality t for x with the original expression.
+func (f *filter) exact(parA, parB float64, t int, x geo.Point) int {
+	return b2i(combine(f.agg, parA, f.pts[t-1].Dist(x)) <= combine(f.agg, parB, f.pts[t].Dist(x)))
+}
+
+// b2i converts a bool to 0 or 1 without a branch.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // GridTheta estimates the attack region deterministically by testing a

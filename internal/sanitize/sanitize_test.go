@@ -149,25 +149,6 @@ func TestAttackThetaFullSpaceWithoutInequalities(t *testing.T) {
 	}
 }
 
-// The attack region must always contain the target's true location: the
-// real location satisfies the true inequalities by construction.
-func TestTrueLocationSatisfiesInequalities(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	for trial := 0; trial < 20; trial++ {
-		q := randomQuery(rng, 4)
-		ans := answerFor(rng, q, 8)
-		for target := range q {
-			st := newAttackState(defaultConfig(0.05).withDefaults(), rng, ans, q, target, 1)
-			st.survivors[0] = q[target] // plant the true location as the sample
-			for ti := 1; ti < len(ans); ti++ {
-				if st.addInequality(ti) != 1 {
-					t.Fatalf("trial %d: true location excluded by inequality %d", trial, ti)
-				}
-			}
-		}
-	}
-}
-
 func TestSampleSizeMatchesStats(t *testing.T) {
 	cfg := defaultConfig(0.05)
 	if got := cfg.SampleSize(); got < 10000 {

@@ -203,13 +203,17 @@ func (s *Server) acceptLoop(ln net.Listener) {
 // shed rejects a connection over the MaxConns limit with a retryable
 // FrameError instead of a silent close, so fault-tolerant clients back
 // off and retry rather than misreading the condition as a network fault
-// of unknown safety.
+// of unknown safety. Like admission rejects, it drains the client's
+// pending frames before closing (discardClient): a close with unread
+// bytes resets the connection, and the client would then see a broken
+// pipe instead of the typed busy reply.
 func (s *Server) shed(conn net.Conn) {
 	defer conn.Close()
 	s.reg().Counter("transport_server_shed_total").Inc()
 	conn.SetWriteDeadline(time.Now().Add(5 * time.Second))
 	wire.WriteFrame(conn, core.FrameError, []byte(core.BusyMessage))
 	s.logf("shed %v: at MaxConns=%d", conn.RemoteAddr(), s.MaxConns)
+	s.discardClient(conn)
 }
 
 // Addr returns the listening address; it errors before Listen.
@@ -431,6 +435,12 @@ func (s *Server) serveQuery(conn net.Conn) (err error) {
 	// Admission: routed and gated before the query is even parsed, so a
 	// shed session costs the server no crypto and no big.Int allocations.
 	lsp, maxLocs := s.LSP, s.MaxLocations
+	// An admitted session releases its grant before the server writes
+	// its final frame, so when the client sees the reply, the admitter's
+	// in-flight count and epoch references no longer hold the session
+	// (DESIGN.md §13). The deferred call covers sessions that end
+	// without a reply.
+	release := func() {}
 	if s.Admitter != nil {
 		grant, aerr := s.Admitter.Admit(tenant)
 		if aerr != nil {
@@ -455,7 +465,8 @@ func (s *Server) serveQuery(conn net.Conn) (err error) {
 			return s.replyError(conn, aerr)
 		}
 		if grant.Release != nil {
-			defer grant.Release()
+			release = sync.OnceFunc(grant.Release)
+			defer release()
 		}
 		if grant.LSP != nil {
 			lsp = grant.LSP
@@ -479,7 +490,7 @@ func (s *Server) serveQuery(conn net.Conn) (err error) {
 	lsp = lsp.WithCoalescer(s.Coalescer)
 	q, err := core.UnmarshalQuery(payload)
 	if err != nil {
-		return s.replyError(conn, err)
+		return s.reject(conn, release, err)
 	}
 	// Location-set count: the query does not carry n explicitly; the client
 	// sends a location-count frame header via NBar when partitioned, but
@@ -498,7 +509,7 @@ func (s *Server) serveQuery(conn net.Conn) (err error) {
 		maxLocs = DefaultMaxLocations
 	}
 	if n > maxLocs {
-		return s.replyError(conn, fmt.Errorf("query announces %d locations, limit %d", n, maxLocs))
+		return s.reject(conn, release, fmt.Errorf("query announces %d locations, limit %d", n, maxLocs))
 	}
 	var locs []*core.LocationMsg
 	expected := n
@@ -507,7 +518,7 @@ func (s *Server) serveQuery(conn net.Conn) (err error) {
 			break
 		}
 		if len(locs) >= maxLocs {
-			return s.replyError(conn, fmt.Errorf("session exceeds %d location frames", maxLocs))
+			return s.reject(conn, release, fmt.Errorf("session exceeds %d location frames", maxLocs))
 		}
 		if err := conn.SetReadDeadline(time.Now().Add(timeout)); err != nil {
 			return err
@@ -523,11 +534,11 @@ func (s *Server) serveQuery(conn net.Conn) (err error) {
 			break
 		}
 		if typ != core.FrameLocation {
-			return s.replyError(conn, fmt.Errorf("expected location frame, got %d", typ))
+			return s.reject(conn, release, fmt.Errorf("expected location frame, got %d", typ))
 		}
 		lm, err := core.UnmarshalLocation(payload)
 		if err != nil {
-			return s.replyError(conn, err)
+			return s.reject(conn, release, err)
 		}
 		locs = append(locs, lm)
 	}
@@ -540,14 +551,22 @@ func (s *Server) serveQuery(conn net.Conn) (err error) {
 	ans, err := lsp.ProcessTraced(obs.TraceContext{ID: tr.ID(), Span: node}, q, locs, s.Meter)
 	sp.EndErr(err)
 	if err != nil {
-		return s.replyError(conn, err)
+		return s.reject(conn, release, err)
 	}
 	if err := conn.SetWriteDeadline(time.Now().Add(timeout)); err != nil {
 		return err
 	}
 	ab := ans.Marshal()
 	s.observeFrame("tx", len(ab))
+	release()
 	return wire.WriteFrame(conn, core.FrameAnswer, ab)
+}
+
+// reject releases an admitted session's grant, then replies with the
+// error.
+func (s *Server) reject(conn net.Conn, release func(), cause error) error {
+	release()
+	return s.replyError(conn, cause)
 }
 
 func (s *Server) replyError(conn net.Conn, cause error) error {

@@ -8,7 +8,7 @@ cd "$(dirname "$0")/.."
 fuzztime=${FUZZTIME:-15s}
 pkgs=("$@")
 if [ ${#pkgs[@]} -eq 0 ]; then
-  pkgs=(./internal/core ./internal/wire ./internal/modmath ./internal/svc ./internal/shard ./internal/parallel)
+  pkgs=(./internal/core ./internal/wire ./internal/modmath ./internal/svc ./internal/shard ./internal/parallel ./internal/sanitize)
 fi
 
 for pkg in "${pkgs[@]}"; do
